@@ -13,9 +13,9 @@ pending windows per drain) and compares a single
 :class:`~repro.serving.fleet.MonitorFleet` drain against an 8-shard
 :class:`~repro.serving.sharding.ShardedFleet` drain over the identical
 workload.  With the fused preallocated kernel the monolithic drain no longer
-pays a cache penalty for its batch size, so on a single core the sharded
-drain's thread-pool orchestration is bounded overhead (asserted below); the
-shards classify concurrently on multi-core hosts.  Decisions must agree
+pays a cache penalty for its batch size, so the sharded drain — eight
+in-process shard drains run one after another, then merged — costs at most
+a bounded overhead (asserted below).  Decisions must agree
 decision-for-decision with the single fleet.
 """
 
@@ -262,8 +262,8 @@ def test_bench_sharded_fleet_drain(benchmark, experiment_data):
     # of cache and shard-sized batches won outright.  The fused preallocated
     # kernel (see benchmarks/test_bench_hotpath.py) removed that penalty —
     # the monolithic drain no longer pays for its batch size, and what is
-    # left of the difference is the thread-pool submit/merge overhead, which
-    # only pays for itself when real cores run the shards concurrently.  The
+    # left of the difference is the per-shard call and merge overhead of
+    # draining eight in-process shards one after another.  The
     # comparison stays stable because the reps are interleaved (both paths
     # see the same machine conditions), best-of-N filters scheduling
     # hiccups, and GC is parked outside the timed regions.

@@ -152,7 +152,8 @@ class BeatPartialCache:
                 self._hr = np.concatenate((self._hr[j0 : j0 + seam], hr))
                 self._lor_diff = np.concatenate((self._lor_diff[j0 : j0 + seam], lor_diff))
                 self._lor_sum = np.concatenate((self._lor_sum[j0 : j0 + seam], lor_sum))
-                self.hits += 1
+                if overlap > 0:  # a window starting at the cache's end reuses nothing
+                    self.hits += 1
             else:
                 # Fully contained in the cache: trim the prefix lazily below.
                 if j0 > 0:

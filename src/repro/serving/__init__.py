@@ -33,9 +33,9 @@ Entry points, smallest to largest deployment:
   SVM call per drain, which is what lets one server keep up with a fleet of
   body sensor nodes (see ``benchmarks/test_bench_serving.py``);
 * :class:`~repro.serving.sharding.ShardedFleet` — N consistent-hash-routed
-  fleet shards behind the same interface (serial, thread-pool or
-  process-per-shard backends), decision-for-decision identical to a single
-  fleet (``tests/test_serving_sharding.py``).
+  in-process fleet shards behind the same interface, decision-for-decision
+  identical to a single fleet (``tests/test_serving_sharding.py``);
+  resharding, autoscaling and cluster handoff move patients between them.
 
 On top of the fleets sits the push-based front door:
 :class:`~repro.serving.ingest.IngestGateway` accepts wire-format frames over

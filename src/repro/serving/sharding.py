@@ -1,7 +1,7 @@
 """Horizontally sharded monitor fleets with consistent patient routing.
 
-One :class:`~repro.serving.fleet.MonitorFleet` is one worker's worth of
-patients.  :class:`ShardedFleet` scales the same interface across N such
+One :class:`~repro.serving.fleet.MonitorFleet` serves a set of patients.
+:class:`ShardedFleet` partitions the same interface across N such
 shards: every chunk is routed by a :class:`HashRing` (consistent hashing of
 the patient id, stable across runs and processes, minimal reassignment when
 the shard count changes), each shard streams and featurises its own patients
@@ -10,39 +10,28 @@ one canonically ordered decision list.
 
 The headline guarantee — enforced by the parity fuzz suite in
 ``tests/test_serving_sharding.py`` — is that sharding is *invisible* in the
-output: for any shard count, backend and drain policy, a sharded fleet
+output: for any shard count and drain policy, a sharded fleet
 produces decision-for-decision identical output to a single unsharded
 :class:`~repro.serving.fleet.MonitorFleet` over the same streams.  This
 holds because each patient's DSP state lives on exactly one shard and the
 batched classifiers are batch-composition invariant (bit-exactly so on the
 integer fixed-point path).
 
-Three executor backends:
-
-* ``"serial"`` — shards are plain in-process objects, calls run inline.
-  Zero overhead; also the fastest drain on a single core, because shard-
-  sized classification batches are kinder to the cache than one monolithic
-  batch (see ``benchmarks/test_bench_serving.py``).
-* ``"thread"`` — drains / flushes / stat polls fan out over a thread pool;
-  the NumPy kernels release the GIL, so shards classify concurrently on
-  multi-core hosts.
-* ``"process"`` — one dedicated worker process per shard, each hosting its
-  own :class:`~repro.serving.fleet.MonitorFleet`; chunks, stats and
-  decisions travel over pipes.  This is the multi-host deployment shape in
-  miniature (the pipe protocol is the same role a socket would play, and
-  ECG payloads are shipped in the :mod:`repro.serving.wire` frame format by
-  :meth:`ShardedFleet.push_wire` upstream of it).
+Shards are in-process partitions: plain :class:`~repro.serving.fleet.MonitorFleet`
+objects in one list, called directly, all sharing the parent's
+:class:`~repro.serving.registry.ModelRegistry`.  Partitioning is what
+resharding, autoscaling and cluster handoff move patients between; it is
+not a parallel executor.  Scale-out across processes and hosts is one
+:class:`~repro.serving.ingest.IngestGateway` per node, federated by
+:class:`~repro.serving.cluster.GatewayCluster`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing as mp
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,225 +283,14 @@ class HashRing:
         return ring, moved
 
 
-# ---------------------------------------------------------------------------
-# Shard executor backends
-# ---------------------------------------------------------------------------
-
-
-def _invoke(fleet: MonitorFleet, method: str, *args: Any, **kwargs: Any) -> Any:
-    """Call a fleet method, or read a fleet property when ``method`` names one."""
-    attr = getattr(fleet, method)
-    if callable(attr):
-        return attr(*args, **kwargs)
-    return attr
-
-
-class _SerialBackend:
-    """Shards as plain in-process fleets; every call runs inline."""
-
-    def __init__(self, shards: Sequence[MonitorFleet]) -> None:
-        self.shards = list(shards)
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return _invoke(self.shards[shard], method, *args, **kwargs)
-
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> list:
-        return [_invoke(shard, method, *args, **kwargs) for shard in self.shards]
-
-    def call_all_settled(self, method: str, *args: Any, **kwargs: Any) -> list:
-        """Like :meth:`call_all`, but collects ``(ok, value_or_exc)`` pairs
-        instead of aborting on the first shard failure."""
-        settled = []
-        for shard in self.shards:
-            try:
-                settled.append((True, _invoke(shard, method, *args, **kwargs)))
-            except Exception as exc:
-                settled.append((False, exc))
-        return settled
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadBackend(_SerialBackend):
-    """Fan ``call_all`` out over a thread pool (NumPy releases the GIL)."""
-
-    def __init__(self, shards: Sequence[MonitorFleet]) -> None:
-        super().__init__(shards)
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(self.shards), thread_name_prefix="shard"
-        )
-
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> list:
-        return [future.result() for future in self._submit_all(method, *args, **kwargs)]
-
-    def call_all_settled(self, method: str, *args: Any, **kwargs: Any) -> list:
-        settled = []
-        for future in self._submit_all(method, *args, **kwargs):
-            try:
-                settled.append((True, future.result()))
-            except Exception as exc:
-                settled.append((False, exc))
-        return settled
-
-    def _submit_all(self, method: str, *args, **kwargs) -> list:
-        return [
-            self._pool.submit(_invoke, shard, method, *args, **kwargs)
-            for shard in self.shards
-        ]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def _shard_worker(
-    conn: Connection,
-    classifier: InferenceBackend | ModelRegistry,
-    fs: float,
-    windowing: Optional[WindowingParams],
-    detector_params: Optional[PanTompkinsParams],
-    auto_register: bool,
-    feature_cache: bool = True,
-    lossy: bool = False,
-) -> None:
-    """Worker-process loop: host one shard fleet, serve pipe requests."""
-    fleet = MonitorFleet(
-        classifier,
-        fs,
-        windowing=windowing,
-        detector_params=detector_params,
-        auto_register=auto_register,
-        feature_cache=feature_cache,
-        lossy=lossy,
-    )
-    while True:
-        request = conn.recv()
-        if request is None:
-            conn.close()
-            return
-        method, args, kwargs = request
-        try:
-            conn.send(("ok", _invoke(fleet, method, *args, **kwargs)))
-        except BaseException as exc:  # propagated to, and re-raised in, the parent
-            conn.send(("err", exc))
-
-
-class _ProcessBackend:
-    """One dedicated worker process per shard, request/response over pipes."""
-
-    #: Workers hold pickled *replicas* of shared state (the model registry),
-    #: so registry mutations must be forwarded explicitly — unlike the
-    #: in-process backends, whose shards share the parent's objects.
-    replicated = True
-
-    def __init__(
-        self,
-        n_shards: int,
-        classifier,
-        fs: float,
-        windowing,
-        detector_params,
-        auto_register: bool,
-        feature_cache: bool = True,
-        lossy: bool = False,
-    ) -> None:
-        self._spawn_args = (
-            classifier,
-            fs,
-            windowing,
-            detector_params,
-            auto_register,
-            feature_cache,
-            lossy,
-        )
-        self._conns = []
-        self._procs = []
-        for _ in range(n_shards):
-            self._spawn_one()
-
-    def _spawn_one(self) -> None:
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_shard_worker,
-            args=(child_conn,) + self._spawn_args,
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._conns.append(parent_conn)
-        self._procs.append(proc)
-
-    def resize(self, n_shards: int) -> None:
-        """Grow or shrink the worker pool to ``n_shards`` processes.
-
-        Removed workers (always the highest indices — surviving shard
-        indices keep their processes and therefore their monitors) are shut
-        down gracefully; added workers start empty, holding a pickled
-        replica of the *current* model registry (the first spawn-args
-        element is the parent's registry object, pickled at spawn time, so a
-        late-born worker is born in sync).  The caller must have migrated
-        every patient off a worker before shrinking past it.
-        """
-        while len(self._conns) > n_shards:
-            conn = self._conns.pop()
-            proc = self._procs.pop()
-            try:
-                conn.send(None)
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-        while len(self._conns) < n_shards:
-            self._spawn_one()
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        conn = self._conns[shard]
-        conn.send((method, args, kwargs))
-        status, value = conn.recv()
-        if status == "err":
-            raise value
-        return value
-
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> list:
-        settled = self.call_all_settled(method, *args, **kwargs)
-        for ok, value in settled:
-            if not ok:
-                raise value
-        return [value for _, value in settled]
-
-    def call_all_settled(self, method: str, *args: Any, **kwargs: Any) -> list:
-        for conn in self._conns:
-            conn.send((method, args, kwargs))
-        return [
-            (status == "ok", value)
-            for status, value in (conn.recv() for conn in self._conns)
-        ]
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-                conn.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-
-
-_BACKENDS = ("serial", "thread", "process")
-
-
 class ShardedFleet:
     """N consistent-hash-routed :class:`~repro.serving.fleet.MonitorFleet` shards.
 
     The interface deliberately mirrors :class:`~repro.serving.fleet.MonitorFleet`
     (``push`` / ``push_wire`` / ``finish`` / ``drain`` / ``maybe_drain`` /
-    ``run``), so a single-fleet deployment scales out by swapping the class.
+    ``run``), so a single-fleet deployment partitions its patients by
+    swapping the class.  The shards are in-process fleets held in one list
+    and called directly (see the module docstring).
 
     Parameters
     ----------
@@ -525,18 +303,16 @@ class ShardedFleet:
     drain_policy:
         Fleet-level :class:`~repro.serving.scheduler.DrainPolicy`, evaluated
         against the merged shard stats; a trigger drains *all* shards.
-    backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"`` — see the
-        module docstring.  Drain-policy scheduling is driven by *local*
-        queue counters the fleet maintains from the shards' return values
-        (exact, and free of cross-shard round-trips on every chunk), so it
-        behaves identically on all three backends; only the authoritative
-        :meth:`stats` / :attr:`pending_count` sweep the shards.
+        Scheduling is driven by *local* queue counters the fleet maintains
+        from the shards' return values (exact, and free of a sweep over the
+        shards on every chunk); only the authoritative :meth:`stats` /
+        :attr:`pending_count` sweep the shards.
     auto_register:
         Unknown-patient contract, forwarded to every shard (see
         :class:`~repro.serving.fleet.MonitorFleet`).
     clock:
-        Monotonic time source for the in-process backends' latency stats.
+        Monotonic time source for the shards' latency stats and the fleet's
+        local queue age.
     replicas:
         Ring points per shard for the :class:`HashRing`.
     shard_weights:
@@ -553,7 +329,6 @@ class ShardedFleet:
         windowing: WindowingParams | None = None,
         detector_params: PanTompkinsParams | None = None,
         drain_policy: DrainPolicy | None = None,
-        backend: str = "serial",
         auto_register: bool = True,
         clock: Callable[[], float] = time.monotonic,
         replicas: int = 64,
@@ -561,15 +336,12 @@ class ShardedFleet:
         feature_cache: bool = True,
         lossy: bool = False,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError("unknown backend %r (choose from %s)" % (backend, _BACKENDS))
         if isinstance(classifier, ModelRegistry):
             self.registry = classifier
         else:
             self.registry = ModelRegistry(default=classifier)
         self.fs = float(fs)
         self.n_shards = int(n_shards)
-        self.backend_name = backend
         self.drain_policy = drain_policy
         self.auto_register = bool(auto_register)
         self.windowing = windowing
@@ -578,26 +350,10 @@ class ShardedFleet:
         self.lossy = bool(lossy)
         self.ring = HashRing(self.n_shards, replicas=replicas, weights=shard_weights)
         self._clock = clock
-        # The registry is routing-invariant: every shard classifies with the
-        # *same* patient->model mapping, so a patient's tailored model follows
-        # them wherever the ring places them (including across reshards).
-        # In-process shards share this very object; worker processes receive
-        # pickled replicas (kept in sync by register_model).
-        if backend == "process":
-            self._backend = _ProcessBackend(
-                self.n_shards,
-                self.registry,
-                self.fs,
-                windowing,
-                detector_params,
-                self.auto_register,
-                self.feature_cache,
-                self.lossy,
-            )
-        else:
-            shards = [self._make_shard() for _ in range(self.n_shards)]
-            backend_cls = _ThreadBackend if backend == "thread" else _SerialBackend
-            self._backend = backend_cls(shards)
+        # The registry is routing-invariant: every shard classifies with this
+        # very object, so a patient's tailored model follows them wherever
+        # the ring places them (including across reshards).
+        self._shards: List[MonitorFleet] = [self._make_shard() for _ in range(self.n_shards)]
         self._shard_of: Dict[int, int] = {}
         # Local queue bookkeeping, kept exact from the shards' return values:
         # windows only enter or leave a shard's queue through calls routed
@@ -608,7 +364,7 @@ class ShardedFleet:
         self._known_patients: set = set()
 
     def _make_shard(self) -> MonitorFleet:
-        """One empty in-process shard fleet with this fleet's configuration."""
+        """One empty shard fleet with this fleet's configuration."""
         return MonitorFleet(
             self.registry,
             self.fs,
@@ -630,16 +386,12 @@ class ShardedFleet:
     def register_model(self, patient_id: int, backend: InferenceBackend) -> int:
         """Install (or hot-swap) one patient's tailored backend, fleet-wide.
 
-        The in-process executor backends share the parent's
-        :class:`~repro.serving.registry.ModelRegistry`, so a single registry
-        mutation is visible to every shard; the process backend holds
-        per-worker replicas, which are updated first so a concurrent drain
-        never sees the worker and the parent disagree for long.  Returns the
-        parent registry's new epoch.  The swap takes effect at the next
-        drain, wherever the ring routes the patient.
+        Every shard shares the fleet's
+        :class:`~repro.serving.registry.ModelRegistry`, so one registry
+        mutation is visible to all of them.  Returns the registry's new
+        epoch.  The swap takes effect at the next drain, wherever the ring
+        routes the patient.
         """
-        if getattr(self._backend, "replicated", False):
-            self._backend.call_all("register_model", int(patient_id), backend)
         return self.registry.register(patient_id, backend)
 
     def model_label_for(self, patient_id: int) -> str:
@@ -659,16 +411,16 @@ class ShardedFleet:
     def add_patient(self, patient_id: int) -> int:
         """Register a patient on their shard; returns the shard index."""
         shard = self.shard_of(patient_id)
-        self._backend.call(shard, "add_patient", int(patient_id))
+        self._shards[shard].add_patient(int(patient_id))
         self._known_patients.add(int(patient_id))
         return shard
 
     def has_patient(self, patient_id: int) -> bool:
-        return self._backend.call(self.shard_of(patient_id), "has_patient", int(patient_id))
+        return self._shards[self.shard_of(patient_id)].has_patient(int(patient_id))
 
     @property
     def patient_ids(self) -> List[int]:
-        return sorted(pid for ids in self._backend.call_all("patient_ids") for pid in ids)
+        return sorted(pid for shard in self._shards for pid in shard.patient_ids)
 
     @property
     def n_patients(self) -> int:
@@ -689,7 +441,7 @@ class ShardedFleet:
         """
         patient_id = int(patient_id)
         shard = self.shard_of(patient_id)
-        pending = self._backend.call(shard, "push", patient_id, chunk, seq)
+        pending = self._shards[shard].push(patient_id, chunk, seq)
         self._known_patients.add(patient_id)
         self._chunks_since_drain += 1
         self._note_pending(shard, pending)
@@ -710,21 +462,14 @@ class ShardedFleet:
         """
         by_shard: Dict[int, List[PendingWindow]] = {}
         for window in windows:
-            by_shard.setdefault(self.shard_of(window.patient_id), []).append(window)
-        if not self.auto_register:
-            # One membership probe per shard (not per patient): under the
-            # process backend every call is a pipe round-trip.
-            for shard, group in by_shard.items():
-                missing = self._backend.call(
-                    shard, "missing_patients", [w.patient_id for w in group]
+            if not self.auto_register and not self.has_patient(window.patient_id):
+                raise KeyError(
+                    "unknown patient %d (auto_register=False; call "
+                    "add_patient first)" % window.patient_id
                 )
-                if missing:
-                    raise KeyError(
-                        "unknown patient %d (auto_register=False; call "
-                        "add_patient first)" % missing[0]
-                    )
+            by_shard.setdefault(self.shard_of(window.patient_id), []).append(window)
         for shard, group in by_shard.items():
-            self._note_pending(shard, self._backend.call(shard, "enqueue", group))
+            self._note_pending(shard, self._shards[shard].enqueue(group))
             # Queued windows make a patient migratable state: a reshard must
             # know to carry them along even if no chunk ever arrived.
             self._known_patients.update(int(w.patient_id) for w in group)
@@ -734,11 +479,11 @@ class ShardedFleet:
         """Flush one patient's stream (or every shard's streams)."""
         if patient_id is not None:
             shard = self.shard_of(patient_id)
-            pending = self._backend.call(shard, "finish", int(patient_id))
+            pending = self._shards[shard].finish(int(patient_id))
             self._note_pending(shard, pending)
             return pending
-        for shard, pending in enumerate(self._backend.call_all("finish")):
-            self._note_pending(shard, pending)
+        for shard, fleet in enumerate(self._shards):
+            self._note_pending(shard, fleet.finish())
         return sum(self._pending_by_shard.values())
 
     def _note_pending(self, shard: int, pending: int) -> None:
@@ -805,11 +550,9 @@ class ShardedFleet:
         its old shard — DSP carry-over, partial windows, sequence position
         *and* queued pending windows, as one
         :class:`~repro.serving.streaming.MonitorState` — and attached to its
-        new one.  Under the process backend the states travel over the worker
-        pipes; new workers are born with a replica of the current
-        :class:`~repro.serving.registry.ModelRegistry`, and the in-process
-        backends keep sharing the parent's, so every patient's tailored model
-        follows them unchanged.  ``weights`` re-cuts the ring per
+        new one.  Every shard, old or new, shares the fleet's
+        :class:`~repro.serving.registry.ModelRegistry`, so every patient's
+        tailored model follows them unchanged.  ``weights`` re-cuts the ring per
         :meth:`HashRing.resized_weights` (same-count reshards with changed
         weights are legal — that is a pure rebalance).
 
@@ -825,9 +568,8 @@ class ShardedFleet:
         call is retryable.  (A failure while *importing* into the new
         topology cannot be rolled back the same way — the old topology is
         gone — and raises a :class:`RuntimeError` naming the orphaned
-        patients; with in-process backends this is unreachable, as
-        ``import_patient`` validates nothing that ``export_patient`` has not
-        already produced.)
+        patients; in practice this is unreachable, as ``import_patient``
+        validates nothing that ``export_patient`` has not already produced.)
 
         Returns the migrated mapping ``{patient_id: (old_shard, new_shard)}``.
         Not safe to call concurrently with pushes or drains from other
@@ -858,12 +600,11 @@ class ShardedFleet:
             if old_shard != new_shard:
                 moved[patient_id] = (old_shard, new_shard)
         # 1. Detach every moving patient while all old shards are still up,
-        #    touching *no* fleet state until every export has succeeded — a
-        #    dead worker mid-migration must leave the fleet exactly as found.
-        #    Each source shard's oldest-pending age is captured first so the
-        #    migrated windows don't look freshly-arrived on their new shard
-        #    (ages are durations, safe across the process backend's clocks;
-        #    the shard-level maximum is a conservative upper bound per
+        #    touching *no* fleet state until every export has succeeded — an
+        #    export that raises mid-migration must leave the fleet exactly as
+        #    found.  Each source shard's oldest-pending age is captured first
+        #    so the migrated windows don't look freshly-arrived on their new
+        #    shard (the shard-level maximum is a conservative upper bound per
         #    patient, which only ever makes LatencyPolicy fire sooner).
         source_age: Dict[int, float] = {}
         states: List[tuple] = []
@@ -871,11 +612,9 @@ class ShardedFleet:
             for patient_id in sorted(moved):
                 old_shard, new_shard = moved[patient_id]
                 if old_shard not in source_age:
-                    source_age[old_shard] = self._backend.call(
-                        old_shard, "stats"
-                    ).oldest_pending_age_s
+                    source_age[old_shard] = self._shards[old_shard].stats().oldest_pending_age_s
                 try:
-                    state = self._backend.call(old_shard, "export_patient", patient_id)
+                    state = self._shards[old_shard].export_patient(patient_id)
                 except KeyError:
                     # Known only through since-drained enqueued windows: the
                     # ring reassigns their *routing*, but there is no state
@@ -886,11 +625,8 @@ class ShardedFleet:
             # Roll back: restore every state already detached to its old
             # shard (still present — the topology was never touched).
             for old_shard, _, state in states:
-                self._backend.call(
-                    old_shard,
-                    "import_patient",
-                    state,
-                    pending_age_s=source_age.get(old_shard, 0.0),
+                self._shards[old_shard].import_patient(
+                    state, pending_age_s=source_age.get(old_shard, 0.0)
                 )
             raise
         # 2. All exports in hand: account the detached windows.  A negative
@@ -905,10 +641,11 @@ class ShardedFleet:
                         % (old_shard, remaining)
                     )
                 self._pending_by_shard[old_shard] = remaining
-        # 3. Resize the executor topology.  Surviving shard indices keep
-        #    their fleet objects / worker processes (their ring points are
-        #    unchanged, so their patients never noticed anything).
-        self._resize_backend(n_shards)
+        # 3. Resize the shard list.  Surviving shard indices keep their fleet
+        #    objects (their ring points are unchanged, so their patients never
+        #    noticed anything).
+        del self._shards[n_shards:]
+        self._shards.extend(self._make_shard() for _ in range(n_shards - len(self._shards)))
         self.ring = new_ring
         self.n_shards = n_shards
         self._shard_of = {pid: shard for pid, (_, shard) in moved.items()}
@@ -927,18 +664,14 @@ class ShardedFleet:
                 orphaned.append(int(state.patient_id))
                 continue
             try:
-                self._note_pending(
-                    new_shard,
-                    self._backend.call(
-                        new_shard,
-                        "import_patient",
-                        state,
-                        pending_age_s=source_age.get(old_shard, 0.0),
-                    ),
+                pending = self._shards[new_shard].import_patient(
+                    state, pending_age_s=source_age.get(old_shard, 0.0)
                 )
             except Exception as exc:
                 import_error = exc
                 orphaned.append(int(state.patient_id))
+            else:
+                self._note_pending(new_shard, pending)
         if import_error is not None:
             raise RuntimeError(
                 "reshard to %d shards failed importing migrated state; "
@@ -962,19 +695,6 @@ class ShardedFleet:
             raise ValueError("cannot remove the last shard")
         return self.reshard(self.n_shards - 1)
 
-    def _resize_backend(self, n_shards: int) -> None:
-        if self.backend_name == "process":
-            self._backend.resize(n_shards)
-            return
-        shards = list(self._backend.shards)
-        if n_shards < len(shards):
-            shards = shards[:n_shards]
-        else:
-            shards.extend(self._make_shard() for _ in range(n_shards - len(shards)))
-        self._backend.close()  # retire the old thread pool, if any
-        backend_cls = _ThreadBackend if self.backend_name == "thread" else _SerialBackend
-        self._backend = backend_cls(shards)
-
     # -------------------------------------------------------------- draining
     def stats(self) -> DrainStats:
         """Authoritative merged stats, swept from every shard.
@@ -995,15 +715,15 @@ class ShardedFleet:
         they are an implementation detail behind this wrapper.
         """
         return merge_stats(
-            self._backend.call_all("stats"),
+            [shard.stats() for shard in self._shards],
             chunks_since_drain=self._chunks_since_drain,
         )
 
     def gap_stats(self) -> GapStats:
         """Lossy-mode gap accounting summed over every shard's monitors."""
         total = GapStats()
-        for stats in self._backend.call_all("gap_stats"):
-            total = total + stats
+        for shard in self._shards:
+            total = total + shard.gap_stats()
         return total
 
     def local_stats(self) -> DrainStats:
@@ -1050,12 +770,15 @@ class ShardedFleet:
         return self._drain(self.local_stats())
 
     def _drain(self, stats: DrainStats) -> List[WindowDecision]:
-        settled = self._backend.call_all_settled("drain")
-        decisions = [d for ok, group in settled if ok for d in group]
-        errors = {shard: value for shard, (ok, value) in enumerate(settled) if not ok}
-        for shard, (ok, _) in enumerate(settled):
-            if ok:
-                self._pending_by_shard[shard] = 0
+        decisions: List[WindowDecision] = []
+        errors: Dict[int, Exception] = {}
+        for shard, fleet in enumerate(self._shards):
+            try:
+                decisions.extend(fleet.drain())
+            except Exception as exc:
+                errors[shard] = exc
+                continue
+            self._pending_by_shard[shard] = 0
         if sum(self._pending_by_shard.values()) == 0:
             self._oldest_pending_t = None
         decisions.sort(key=decision_sort_key)
@@ -1086,8 +809,11 @@ class ShardedFleet:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut the executor backend down (worker processes, thread pool)."""
-        self._backend.close()
+        """No-op: in-process shards hold no threads, processes or sockets.
+
+        Kept so a ``ShardedFleet`` is a drop-in context manager wherever
+        deployments and tests release a fleet.
+        """
 
     def __enter__(self) -> "ShardedFleet":
         return self

@@ -131,8 +131,9 @@ class MonitorState:
 
     ``detector`` / ``windower`` / ``sequence`` are ``None`` for a patient
     known only through enqueued windows (no live monitor).  The state is a
-    plain pickle-friendly value object, so the process-per-shard executor
-    can ship it over its worker pipes unchanged.
+    plain pickle-friendly value object, so a cluster handoff ships it
+    between gateways inside a ``STATE`` frame unchanged
+    (:mod:`repro.serving.cluster`).
     """
 
     version: int

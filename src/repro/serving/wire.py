@@ -169,8 +169,8 @@ class SequenceError(ValueError):
         self.expected = int(expected)
 
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
-        # Keyword-only constructor args defeat the default exception pickling
-        # (needed when a shard worker process reports a sequence violation).
+        # Keyword-only constructor args defeat the default exception pickling,
+        # so rebuild from the stored fields.
         return (
             _rebuild_sequence_error,
             (type(self), self.args[0], self.seq, self.expected),

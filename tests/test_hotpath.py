@@ -240,6 +240,19 @@ class TestFeatureCacheParity:
         assert np.array_equal(partials.hr, 60.0 / altered)
         assert cache.reseeds == 2
 
+    def test_cache_counts_hits_only_on_reused_beats(self):
+        """A window starting exactly where the cache ends extends it but
+        reuses nothing, so it is not a hit; an overlapping one is."""
+        rng = np.random.default_rng(15)
+        rr = rng.uniform(0.5, 1.0, size=70)
+        cache = BeatPartialCache()
+        for first, stop, hits in ((0, 30, 0), (30, 60, 0), (40, 70, 1)):
+            partials = cache.partials_for(first, rr[first:stop])
+            fresh = BeatPartialCache().partials_for(first, rr[first:stop])
+            assert cache.hits == hits
+            for name in ("succ", "succ_sq", "nn50", "hr", "lor_diff", "lor_sum"):
+                assert np.array_equal(getattr(partials, name), getattr(fresh, name))
+
     def test_flag_plumbs_through_serving_layers(self):
         monitor = StreamingMonitor(patient_id=1, fs=128.0, feature_cache=False)
         assert monitor._extractor._cache is None

@@ -9,7 +9,7 @@ heterogeneous fleets:
   scores exact);
 * a registry holding a single shared model is decision-for-decision
   identical to the pre-registry shared-classifier fleet — across shard
-  counts, executor backends and the TCP gateway path;
+  counts and the TCP gateway path;
 * the group-by-model drain emits decisions in exactly the same
   :func:`~repro.serving.fleet.decision_sort_key` order as a single-model
   drain over the same queue, for random model assignments and shard counts

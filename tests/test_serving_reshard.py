@@ -7,8 +7,8 @@ for ANY schedule of ``push`` / ``drain`` / ``reshard`` / ``add_shard`` /
 (bit-exact fixed-point scores) to a never-resharded single
 :class:`~repro.serving.fleet.MonitorFleet` replaying the same pushes and
 drains.  Migration is zero-loss: DSP carry-over, partial windows, sequence
-positions and queued pending windows all follow the patient, across all
-three executor backends and through the TCP gateway (whose
+positions and queued pending windows all follow the patient, directly
+and through the TCP gateway (whose
 :class:`~repro.serving.ingest.GatewayStats` ledger must balance at every
 step of a reshard).
 
@@ -190,21 +190,16 @@ class TestChurnParityFuzz:
 
     @given(
         schedule=st.lists(SCHEDULE_OPS, min_size=3, max_size=14),
-        backend=st.sampled_from(["serial", "thread"]),
         n_shards=st.sampled_from([1, 2, 4]),
     )
     @settings(max_examples=10, deadline=None)
     def test_quantized_churn_parity_is_bit_exact(
-        self, workload, quantized_detector, schedule, backend, n_shards
+        self, workload, quantized_detector, schedule, n_shards
     ):
         reference = self._reference(workload, quantized_detector, schedule)
         assert any(d.usable for drain in reference for d in drain)
         with ShardedFleet(
-            quantized_detector,
-            FS,
-            n_shards=n_shards,
-            windowing=WINDOWING,
-            backend=backend,
+            quantized_detector, FS, n_shards=n_shards, windowing=WINDOWING
         ) as fleet:
             drains = _apply_schedule(fleet, workload["frames"], schedule, churn=True)
         _assert_drains_identical(reference, drains, exact_scores=True)
@@ -216,28 +211,6 @@ class TestChurnParityFuzz:
         with ShardedFleet(quadratic_model, FS, n_shards=2, windowing=WINDOWING) as fleet:
             drains = _apply_schedule(fleet, workload["frames"], schedule, churn=True)
         _assert_drains_identical(reference, drains, exact_scores=False)
-
-    def test_process_backend_churn_parity(self, workload, quantized_detector):
-        """The worker-pipe migration path: states pickle across processes."""
-        schedule = [
-            ("push", 10),
-            ("reshard", 4),
-            ("push", 8),
-            ("drain",),
-            ("remove_shard",),
-            ("push", 8),
-            ("reshard", 1),
-            ("drain",),
-            ("add_shard",),
-            ("push", 8),
-            ("reshard", 2),
-        ]
-        reference = self._reference(workload, quantized_detector, schedule)
-        with ShardedFleet(
-            quantized_detector, FS, n_shards=2, windowing=WINDOWING, backend="process"
-        ) as fleet:
-            drains = _apply_schedule(fleet, workload["frames"], schedule, churn=True)
-        _assert_drains_identical(reference, drains, exact_scores=True)
 
 
 class TestGatewayReshard:
@@ -344,8 +317,8 @@ class TestMonitorStateRoundTrip:
         state = original.snapshot()
         assert state.version == MONITOR_STATE_VERSION
         assert state.has_monitor
-        # The pickle round trip is exactly what the process backend ships
-        # over its worker pipes.
+        # The pickle round trip is exactly what a cluster handoff ships
+        # between gateways.
         revived_state = pickle.loads(pickle.dumps(state))
         assert revived_state == state
         revived = StreamingMonitor.from_snapshot(revived_state)
@@ -564,7 +537,7 @@ class TestReshardAtomicity:
 
     Before the fix, ``reshard`` decremented ``_pending_by_shard`` inside the
     export loop and mutated the topology before any import — a raising
-    ``export_patient`` (e.g. a dead process worker) left counters corrupt
+    ``export_patient`` left counters corrupt
     and already-exported patients destroyed.  Now every state is collected
     before any mutation, an export failure rolls the collected states back
     to their old shards, and pending counts are asserted non-negative.
@@ -589,21 +562,24 @@ class TestReshardAtomicity:
         before = fleet.local_stats()
         assert before.pending_windows == 24
         ring_before = fleet.ring
-        original_call = fleet._backend.call
         exports = {"n": 0}
 
-        def flaky_call(shard, method, *args, **kwargs):
-            if method == "export_patient":
+        def flaky(original):
+            def export_patient(patient_id):
                 exports["n"] += 1
                 if exports["n"] > 2:  # some exports succeed first
-                    raise RuntimeError("worker died")
-            return original_call(shard, method, *args, **kwargs)
+                    raise RuntimeError("export failed")
+                return original(patient_id)
 
-        fleet._backend.call = flaky_call
-        with pytest.raises(RuntimeError, match="worker died"):
+            return export_patient
+
+        for shard_fleet in fleet._shards:
+            shard_fleet.export_patient = flaky(shard_fleet.export_patient)
+        with pytest.raises(RuntimeError, match="export failed"):
             fleet.reshard(2)
         assert exports["n"] > 2  # the fault actually fired mid-migration
-        fleet._backend.call = original_call
+        for shard_fleet in fleet._shards:
+            del shard_fleet.export_patient
         # Nothing moved, nothing counted: topology, ring, counters, patients.
         assert fleet.n_shards == 4
         assert fleet.ring is ring_before
@@ -634,13 +610,13 @@ class TestReshardAtomicity:
     def test_import_fault_names_the_orphans(self, quantized_detector, feature_matrix):
         fleet = self._loaded_fleet(quantized_detector, feature_matrix)
 
-        def dead_import(state, pending_age_s=0.0):
-            raise RuntimeError("import worker died")
+        def failing_import(state, pending_age_s=0.0):
+            raise RuntimeError("import failed")
 
-        # Patch the surviving shard *fleets* (they outlive the executor
-        # rebuild a reshard performs): every 4→2 mover lands on one of them.
-        for shard_fleet in fleet._backend.shards[:2]:
-            shard_fleet.import_patient = dead_import
+        # Patch the surviving shard fleets (a reshard keeps their objects):
+        # every 4→2 mover lands on one of them.
+        for shard_fleet in fleet._shards[:2]:
+            shard_fleet.import_patient = failing_import
         with pytest.raises(RuntimeError, match="orphaned patients") as excinfo:
             fleet.reshard(2)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
@@ -729,7 +705,7 @@ class TestStatsReconcileAfterDrainError:
             [_feature_window(pid, 0.0, feature_matrix.X[pid % 4]) for pid in range(8)]
         )
         assert fleet.local_stats().chunks_since_drain == 8
-        shard0 = fleet._backend.shards[0]
+        shard0 = fleet._shards[0]
         original_drain = shard0.drain
         fails = {"n": 0}
 

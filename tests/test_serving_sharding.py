@@ -3,8 +3,8 @@
 The contract under test: **sharding is invisible**.  For random multi-patient
 ECG workloads (varying sampling frequency, chunk partitioning and seizure
 placement), a :class:`~repro.serving.sharding.ShardedFleet` — any shard
-count, any executor backend, any drain policy, float or fixed-point
-classifier — must produce decision-for-decision identical output to a single
+count, any drain policy, float or fixed-point classifier — must produce
+decision-for-decision identical output to a single
 :class:`~repro.serving.fleet.MonitorFleet`, which in turn must agree with the
 offline per-window ``FeatureExtractor`` + ``predict`` loop.
 
@@ -158,32 +158,6 @@ class TestShardedParityFuzz:
                 assert (1 if decision.alarm else -1) == expected
 
 
-class TestBackendParity:
-    """Thread and process executors match the serial backend bit for bit."""
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_backend_matches_serial(self, fuzz_case, quantized_detector, backend):
-        if fuzz_case["case"]["seed"] != FUZZ_CASES[0]["seed"]:
-            pytest.skip("backend sweep runs on the first fuzz case only")
-        serial = ShardedFleet(quantized_detector, fuzz_case["fs"], n_shards=2)
-        reference = serial.run(fuzz_case["streams"], drain_every=6)
-        with ShardedFleet(
-            quantized_detector, fuzz_case["fs"], n_shards=2, backend=backend
-        ) as sharded:
-            decisions = sharded.run(fuzz_case["streams"], drain_every=6)
-        _assert_decisions_identical(reference, decisions, exact_scores=True)
-
-    def test_process_backend_propagates_sequence_errors(self, quantized_detector):
-        from repro.serving import DuplicateChunkError
-
-        with ShardedFleet(
-            quantized_detector, 128.0, n_shards=2, backend="process"
-        ) as sharded:
-            sharded.push(1, np.zeros(64), seq=0)
-            with pytest.raises(DuplicateChunkError):
-                sharded.push(1, np.zeros(64), seq=0)
-
-
 class TestShardedWireIngestion:
     def test_wire_fed_sharded_fleet_matches_direct_push(self, fuzz_case, quantized_detector):
         if fuzz_case["case"]["seed"] != FUZZ_CASES[0]["seed"]:
@@ -209,6 +183,15 @@ class TestShardedWireIngestion:
         sharded.finish()
         decisions = sharded.drain()
         _assert_decisions_identical(reference, decisions, exact_scores=True)
+
+    def test_sequence_errors_reach_the_caller(self, quantized_detector):
+        from repro.serving import DuplicateChunkError
+
+        sharded = ShardedFleet(quantized_detector, 128.0, n_shards=2)
+        sharded.push(1, np.zeros(64), seq=0)
+        with pytest.raises(DuplicateChunkError):
+            sharded.push(1, np.zeros(64), seq=0)
+        assert sharded.local_stats().chunks_since_drain == 1
 
 
 def _feature_window(patient_id, start_s, features):
@@ -385,7 +368,3 @@ class TestHashRing:
         fleet = ShardedFleet(quantized_detector, 128.0, n_shards=4)
         for pid in range(32):
             assert fleet.shard_of(pid) == fleet.ring.shard_of(pid)
-
-    def test_unknown_backend_rejected(self, quantized_detector):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ShardedFleet(quantized_detector, 128.0, backend="rayon")

@@ -8,6 +8,7 @@ CRC mismatch) and the sequence-number policing that protects the streaming
 monitors' carry-over DSP state from duplicated or reordered chunks.
 """
 
+import pickle
 import struct
 
 import numpy as np
@@ -255,6 +256,16 @@ class TestSequenceTracker:
         with pytest.raises(DuplicateChunkError) as excinfo:
             tracker.validate(1)
         assert excinfo.value.seq == 1 and excinfo.value.expected == 2
+
+    def test_sequence_errors_survive_pickling(self):
+        for error in (
+            DuplicateChunkError("dup", seq=1, expected=2),
+            OutOfOrderChunkError("gap", seq=5, expected=2),
+        ):
+            clone = pickle.loads(pickle.dumps(error))
+            assert type(clone) is type(error)
+            assert clone.args == error.args
+            assert (clone.seq, clone.expected) == (error.seq, error.expected)
 
     def test_gap_rejected_with_context(self):
         tracker = SequenceTracker()
